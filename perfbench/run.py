@@ -8,8 +8,7 @@ Run from the root of a checkout. The first call configures and builds the
 simulator library and the benchmark under .bench_build/perfbench with the
 repository's default build type; later calls rebuild only what changed.
 The benchmark's standard output passes through unchanged: its last line is
-the JSON result. Build output goes to standard error. With --trace 1 the
-recorded spans are written to .bench_build/trace-<workload>-<seed>.json.
+the JSON result. Build output goes to standard error.
 """
 import argparse
 import os
@@ -64,9 +63,6 @@ def main():
     binary = build("perfbench")
     command = [binary, "--workload", args.workload, "--seed", str(args.seed),
                "--seconds", str(args.seconds), "--trace", str(args.trace)]
-    if args.trace:
-        command += ["--trace-out", os.path.join(
-            ".bench_build", f"trace-{args.workload}-{args.seed}.json")]
     sys.stdout.flush()
     try:
         result = subprocess.run(command, timeout=RUN_TIMEOUT_S)

@@ -38,9 +38,8 @@ std::string hex(std::uint64_t value) {
 
 }  // namespace
 
-Golden golden_run(const sim::AssembledImage& image, std::uint64_t budget,
-                  std::vector<std::uint64_t>* l1d_stream) {
-  sim::LoadedProgram program = sim::load_program(image);
+Golden golden_execute(sim::LoadedProgram& program, std::uint64_t budget,
+                      std::vector<std::uint64_t>* l1d_stream) {
   Golden golden;
   golden.state.pc = program.entry;
   const std::uint64_t cycle = 0;
@@ -53,6 +52,12 @@ Golden golden_run(const sim::AssembledImage& image, std::uint64_t budget,
     arch::Machine machine(program.memory, memory_port, &program.predecoded());
     golden.trap = machine.run(golden.state, budget, &golden.executed);
   }
+  return golden;
+}
+
+Golden golden_run(const sim::AssembledImage& image, std::uint64_t budget) {
+  sim::LoadedProgram program = sim::load_program(image);
+  Golden golden = golden_execute(program, budget);
   golden.mem_digest = program.memory.digest();
   return golden;
 }

@@ -26,10 +26,17 @@ struct Golden {
   std::uint64_t mem_digest = 0;
 };
 
-/// Runs `image` on the golden interpreter. When `l1d_stream` is non-null,
-/// every data access is appended to it as (address << 1) | is_store.
-Golden golden_run(const sim::AssembledImage& image, std::uint64_t budget,
-                  std::vector<std::uint64_t>* l1d_stream = nullptr);
+/// Runs a loaded program on the golden interpreter until HALT or `budget`
+/// instructions: functional execution alone. `program.memory` is left
+/// holding the final memory and `mem_digest` is not filled. When
+/// `l1d_stream` is non-null, every data access is appended to it as
+/// (address << 1) | is_store.
+Golden golden_execute(sim::LoadedProgram& program, std::uint64_t budget,
+                      std::vector<std::uint64_t>* l1d_stream = nullptr);
+
+/// Loads `image`, runs it on the golden interpreter and digests the final
+/// memory.
+Golden golden_run(const sim::AssembledImage& image, std::uint64_t budget);
 
 /// A run of a suite kernel: ends in HALT with the golden registers, pc,
 /// memory digest and instruction count (the simulator counts the HALT),

@@ -2,7 +2,6 @@
 // fixed host-time budget in whole rounds, every simulator output checked.
 //
 //   perfbench --workload NAME --seed N --seconds S --trace 0|1
-//             [--trace-out FILE]
 //
 // Workloads (see README.md for their make-up):
 //   suite-inline    the nine Table II kernels, unchecked and checked with
@@ -64,7 +63,15 @@ constexpr double kSuiteScale = 1.0;           // standard Table II scale.
 constexpr double kCampaignScale = 0.1;
 constexpr std::uint64_t kCampaignBudgetFactor = 4;
 constexpr unsigned kFineLogDivisor = 4;       // ~250 insts/segment.
-constexpr int kSetupRepeats = 15;
+// The set-up stage is repeated until this many kernels have been set up
+// (100 stages on the suite, 300 on the campaign), and the median stage is
+// reported: one stage lasts a few milliseconds, too short to time once on
+// a shared host. The stages are spread over the first rounds, so that their
+// median samples the host over much of the run as the throughput does. A
+// fixed count at fixed rounds, not at fixed times, keeps the memory those
+// stages leave behind the same on every run.
+constexpr std::size_t kSetupKernelLoads = 900;
+constexpr std::uint64_t kSetupRounds = 16;  // 50-s runs had 20 or more.
 constexpr unsigned kTrialsPerCell = 8;  // strikes per kernel x site x window.
 constexpr unsigned kSampledForks = 2;   // forked strikes re-simulated per round.
 constexpr std::uint64_t kPoolTickets = 20000;
@@ -133,12 +140,17 @@ struct Context {
           workloads::assemble_or_die(make_kernel_source(id)));
     }
     if (!kernel.has_golden) {
-      // Only the suite's golden runs count towards arch.interp_mips.
-      Scope span(tracer, id.scale == kSuiteScale ? "arch.machine_run"
-                                                 : "arch.machine_run.campaign");
-      kernel.golden = golden_run(kernel.image, kBudget);
+      sim::LoadedProgram program = sim::load_program(kernel.image);
+      {
+        // Only the suite's golden runs count towards arch.interp_mips.
+        Scope span(tracer, id.scale == kSuiteScale
+                               ? "arch.machine_run"
+                               : "arch.machine_run.campaign");
+        kernel.golden = golden_execute(program, kBudget);
+        span.set_work(kernel.golden.executed);
+      }
+      kernel.golden.mem_digest = program.memory.digest();
       kernel.has_golden = true;
-      span.set_work(kernel.golden.executed);
     }
     return kernel;
   }
@@ -650,11 +662,19 @@ void FaultCampaign::round(std::uint64_t index) {
   }
   ctx_.tally.record("round " + std::to_string(index) + "/merged-artifact",
                     check_merged_artifact(merged, tasks, merged_json));
-  SplitMix64 sampler(campaign_seed ^ 0x5A3D1E);
+  // The re-simulated sample: distinct strikes drawn from the forked ones.
   std::vector<std::size_t> sampled;
-  for (unsigned s = 0; s < kSampledForks; ++s) {
-    sampled.push_back(sampler.next_below(tasks));
+  for (std::size_t i = 0; i < tasks; ++i) {
+    if (records[i].forked) sampled.push_back(i);
   }
+  SplitMix64 sampler(campaign_seed ^ 0x5A3D1E);
+  const std::size_t samples = std::min<std::size_t>(kSampledForks,
+                                                    sampled.size());
+  for (std::size_t s = 0; s < samples; ++s) {
+    std::swap(sampled[s],
+              sampled[s + sampler.next_below(sampled.size() - s)]);
+  }
+  sampled.resize(samples);
   std::uint64_t forked = 0;
   const std::uint64_t detected_before = detected_;
   const std::uint64_t masked_before = masked_;
@@ -717,19 +737,20 @@ void probe_interp_and_cache(Context& ctx) {
   constexpr int kExtraGoldenPasses = 2;
   for (int pass = 0; pass < kExtraGoldenPasses; ++pass) {
     for (const char* name : kSuiteKernels) {
-      const Kernel& kernel = ctx.kernel({name});
+      sim::LoadedProgram program =
+          sim::load_program(ctx.kernel({name}).image);
       Scope span(ctx.tracer, "arch.machine_run");
-      span.set_work(golden_run(kernel.image, kBudget).executed);
+      span.set_work(golden_execute(program, kBudget).executed);
     }
   }
   const SystemConfig config = SystemConfig::standard();
   std::vector<std::uint64_t> stream;
   for (const char* name : kSuiteKernels) {
-    const Kernel& kernel = ctx.kernel({name});
+    sim::LoadedProgram program = sim::load_program(ctx.kernel({name}).image);
     stream.clear();
     {
       Scope span(ctx.tracer, "arch.record_l1d_stream");
-      golden_run(kernel.image, kBudget, &stream);
+      golden_execute(program, kBudget, &stream);
     }
     mem::DramModel dram(config.dram, config.main_core.freq_mhz);
     mem::DramLevel dram_level(dram);
@@ -898,7 +919,6 @@ struct Args {
   std::uint64_t seed = 0;
   double seconds = 0;
   bool trace = false;
-  std::string trace_out;
 };
 
 bool parse_args(int argc, char** argv, Args* args) {
@@ -920,8 +940,6 @@ bool parse_args(int argc, char** argv, Args* args) {
     } else if (flag == "--trace") {
       args->trace = std::strcmp(value, "1") == 0;
       have_trace = args->trace || std::strcmp(value, "0") == 0;
-    } else if (flag == "--trace-out") {
-      args->trace_out = value;
     } else {
       return false;
     }
@@ -934,8 +952,7 @@ int run(int argc, char** argv) {
   Args args;
   if (!parse_args(argc, argv, &args)) {
     std::fprintf(stderr,
-                 "usage: %s --workload NAME --seed N --seconds S --trace 0|1"
-                 " [--trace-out FILE]\n",
+                 "usage: %s --workload NAME --seed N --seconds S --trace 0|1\n",
                  argv[0]);
     return 2;
   }
@@ -955,19 +972,24 @@ int run(int argc, char** argv) {
       std::thread::hardware_concurrency(), PERFBENCH_COMPILER,
       PERFBENCH_BUILD_TYPE, kReplayWorkers, kCampaignJobs);
 
-  std::vector<double> setups;
-  for (int r = 0; r < kSetupRepeats; ++r) {
-    setups.push_back(set_up(ctx, workload->kernel_ids()));
-  }
+  const std::vector<KernelId> ids = workload->kernel_ids();
+  const std::size_t stages = kSetupKernelLoads / ids.size();
+  std::vector<double> setups = {set_up(ctx, ids)};
   workload->prepare();
 
   // Whole rounds until the budget is spent. The throughputs are work done
-  // over host time inside the timed calls of every round.
+  // over host time inside the timed calls of every round; set-up stages run
+  // between rounds.
   const auto start = Clock::now();
   std::uint64_t rounds = 0;
   do {
+    while (setups.size() < std::min<std::size_t>(
+                               stages, stages * (rounds + 1) / kSetupRounds)) {
+      setups.push_back(set_up(ctx, ids));
+    }
     workload->round(rounds++);
   } while (seconds_since(start) < args.seconds);
+  while (setups.size() < stages) setups.push_back(set_up(ctx, ids));
   const ModeTotals totals = workload->totals();
   const double sim_mips = totals.mips();
   const double runs_per_sec =
@@ -976,10 +998,13 @@ int run(int argc, char** argv) {
   std::printf("# digest %s 0x%016" PRIx64 " over %zu results of round 0\n",
               workload->name(), workload->digest().value(),
               workload->digest().size());
+  // The first set-up stage is cold (first page faults and allocations); it
+  // is shown, not gated, as one sample is too noisy to compare.
   std::printf("# %s {\"rounds\": %" PRIu64 ", \"sim_mips\": %s,"
-              " \"runs_per_sec\": %s",
+              " \"runs_per_sec\": %s, \"setup_cold_s\": %s",
               args.trace ? "traced" : "info", rounds,
-              json_number(sim_mips).c_str(), json_number(runs_per_sec).c_str());
+              json_number(sim_mips).c_str(), json_number(runs_per_sec).c_str(),
+              json_number(setups.front()).c_str());
   for (const auto& [key, value] : workload->info()) {
     std::printf(", \"%s\": %s", key.c_str(), json_number(value).c_str());
   }
@@ -1005,10 +1030,6 @@ int run(int argc, char** argv) {
     probe_pool(ctx);
     for (const auto& [name, value] : layer_metrics(tracer, ctx)) {
       add_metric(name, value.first, value.second);
-    }
-    if (!args.trace_out.empty() && !tracer.write_json(args.trace_out)) {
-      std::fprintf(stderr, "cannot write %s\n", args.trace_out.c_str());
-      return 1;
     }
   } else {
     rusage usage{};

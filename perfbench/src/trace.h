@@ -1,16 +1,14 @@
 // Span recorder for the benchmark's traced run. A span is (name, start,
 // end, parent, work): it wraps one call into a simulator layer, made from
 // the benchmark's own code, and `work` carries the count done inside it
-// (instructions, accesses, tickets). Spans stay in memory and are written
-// out once, when the benchmark ends. The untraced run passes a null
-// Tracer, and a Scope over a null Tracer reads no clock.
+// (instructions, accesses, tickets). Spans stay in memory; the per-layer
+// metrics are derived from them when the run ends. The untraced run passes
+// a null Tracer, and a Scope over a null Tracer reads no clock.
 #pragma once
 
 #include <chrono>
 #include <cstdint>
-#include <cstdio>
 #include <mutex>
-#include <string>
 #include <vector>
 
 namespace paradet::perfbench {
@@ -62,26 +60,6 @@ class Tracer {
 
   /// All spans recorded so far (call once the traced threads have joined).
   const std::vector<Span>& spans() const { return spans_; }
-
-  /// Writes every span as one JSON array.
-  bool write_json(const std::string& path) const {
-    std::FILE* file = std::fopen(path.c_str(), "w");
-    if (file == nullptr) return false;
-    std::fputs("[\n", file);
-    for (std::size_t i = 0; i < spans_.size(); ++i) {
-      const Span& span = spans_[i];
-      std::fprintf(file,
-                   "{\"id\":%zu,\"name\":\"%s\",\"start_ns\":%lld,"
-                   "\"end_ns\":%lld,\"parent\":%lld,\"work\":%llu}%s\n",
-                   i, span.name, static_cast<long long>(span.start_ns),
-                   static_cast<long long>(span.end_ns),
-                   static_cast<long long>(span.parent),
-                   static_cast<unsigned long long>(span.work),
-                   i + 1 < spans_.size() ? "," : "");
-    }
-    std::fputs("]\n", file);
-    return std::fclose(file) == 0;
-  }
 
  private:
   using Clock = std::chrono::steady_clock;

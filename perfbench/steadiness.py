@@ -1,17 +1,18 @@
 #!/usr/bin/env python3
 """Runs the benchmark workloads N times and reports how steady each metric is.
 
-    python3 perfbench/steadiness.py [--runs N] [--seconds S]
-        [--workloads a,b,...] [--seed-base K] [--with-trace] [--raw FILE]
+    python3 perfbench/steadiness.py [--runs N] [--workloads a,b,...]
+        [--seed-base K] [--with-trace]
 
-Run from the root of a checkout. Run i uses seed K + i; the workload order
-alternates between runs (forward, then reversed), so a slow spell of the
-host does not always land on the same workload. For every end-to-end metric
-of every workload it prints the median, the first and third quartiles
-(statistics.quantiles(values, n=4)), the spread (q3 - q1) / median, and the
-metric's bound from BENCHMARK.json. It also prints the informational
-figures of each run (per-mode MIPS, campaign coverage runs) the same way,
-and the share of failed operations.
+Run from the root of a checkout. Every run lasts run_seconds from
+BENCHMARK.json, the length the bounds apply to. Run i uses seed K + i; the
+workload order alternates between runs (forward, then reversed), so a slow
+spell of the host does not always land on the same workload. For every
+end-to-end metric of every workload it prints the median, the first and
+third quartiles (statistics.quantiles(values, n=4)), the spread
+(q3 - q1) / median, and the metric's bound from BENCHMARK.json. It also
+prints the informational figures of each run (per-mode MIPS, campaign
+coverage runs) the same way, and the share of failed operations.
 
 With --with-trace every untraced run is followed by a traced run of the same
 workload and seed; the tracing overhead is reported as the relative drop of
@@ -53,16 +54,14 @@ def describe(values):
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--runs", type=int, default=10)
-    parser.add_argument("--seconds", type=int)
     parser.add_argument("--workloads")
     parser.add_argument("--seed-base", type=int, default=1)
     parser.add_argument("--with-trace", action="store_true")
-    parser.add_argument("--raw", help="write every run's output here")
     args = parser.parse_args()
 
     with open("BENCHMARK.json") as file:
         spec = json.load(file)
-    seconds = args.seconds or spec["run_seconds"]
+    seconds = spec["run_seconds"]
     workloads = (args.workloads.split(",") if args.workloads
                  else [w["name"] for w in spec["workloads"]])
     bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
@@ -80,10 +79,6 @@ def main():
                                    "traced_info": traced[1]})
             print(f"# run {i} {workload} seed={seed}: "
                   + json.dumps(result["metrics"]), file=sys.stderr)
-
-    if args.raw:
-        with open(args.raw, "w") as file:
-            json.dump(runs, file, indent=1)
 
     print(f"{'workload':16} {'metric':36} {'median':>12} {'q1':>12} "
           f"{'q3':>12} {'spread':>8} {'bound':>6}")

@@ -10,6 +10,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <exception>
+#include <initializer_list>
 #include <string>
 #include <vector>
 
@@ -30,10 +31,6 @@ struct Options {
   double scale = 1.0;          ///< workload scale factor (--scale=X).
   std::string only;            ///< run a single benchmark (--benchmark=name).
   RuntimeOptions runtime;      ///< --jobs/--shard/--out/--checkpoint flags.
-  /// Front-end model for the main core (--frontend=NAME; sim/frontend.h).
-  /// The default (tournament) is byte-identical to the pre-FrontEnd
-  /// predictor, so default artifacts are unchanged.
-  FrontEndKind frontend = FrontEndKind::kTournament;
 
   /// `campaign` = true for drivers that execute through
   /// Campaign::run_sharded; others reject --shard/--out/--checkpoint
@@ -50,18 +47,10 @@ struct Options {
         options.scale = std::atof(arg + 8);
       } else if (std::strncmp(arg, "--benchmark=", 12) == 0) {
         options.only = arg + 12;
-      } else if (std::strncmp(arg, "--frontend=", 11) == 0) {
-        if (!parse_frontend_kind(arg + 11, &options.frontend)) {
-          std::fprintf(stderr,
-                       "--frontend=%s: unknown front-end (tournament, gshare, "
-                       "bimodal, always-taken)\n",
-                       arg + 11);
-          std::exit(2);
-        }
       } else if (std::strcmp(arg, "--help") == 0) {
         std::printf("usage: %s [--scale=X] [--benchmark=name] [--jobs=N]"
-                    " [--checker-threads=N]\n          [--checker-batch=N|auto]"
-                    " [--frontend=NAME]%s%s\n",
+                    " [--checker-threads=N]\n"
+                    "          [--checker-batch=N|auto]%s%s\n",
                     argv[0],
                     campaign ? "\n          [--shard=K/N] [--out=artifact.json]"
                                "\n          [--checkpoint=ckpt.json |"
@@ -104,19 +93,7 @@ struct Options {
     hash.mix_u64(std::bit_cast<std::uint64_t>(scale));
     hash.mix_bytes(only);
     hash.mix_u64(kInstructionBudget);
-    // Mixed in only when non-default so every artifact fingerprinted
-    // before the flag existed still resumes/merges byte-identically.
-    if (frontend != FrontEndKind::kTournament) {
-      hash.mix_bytes(frontend_kind_name(frontend));
-    }
     return hash.value();
-  }
-
-  /// Returns `config` with the requested --frontend applied to the main
-  /// core's predictor. A no-op at the default, preserving artifact bytes.
-  SystemConfig with_frontend(SystemConfig config) const {
-    config.branch_predictor.kind = frontend;
-    return config;
   }
 
   /// Campaign execution options from the shared CLI flags (shard slice,
@@ -132,6 +109,22 @@ struct Options {
     return runtime::ShardSpec{runtime.shard_index, runtime.shard_count};
   }
 };
+
+/// How many argv entries, starting at `arg`, make up a flag that
+/// Options::parse (through RuntimeOptions) has already consumed: 2 for the
+/// space form `--jobs N` / `-j N`, 1 for any other shared flag, 0 for
+/// anything else. Drivers that scan argv for their own flags skip these and
+/// reject whatever is left, so a misspelled flag cannot pass unnoticed.
+inline int shared_flag_args(const char* arg) {
+  if (std::strcmp(arg, "--jobs") == 0 || std::strcmp(arg, "-j") == 0) {
+    return 2;
+  }
+  for (const char* prefix : {"--scale=", "--benchmark=", "--jobs=",
+                             "--checker-threads=", "--checker-batch=", "-j"}) {
+    if (std::strncmp(arg, prefix, std::strlen(prefix)) == 0) return 1;
+  }
+  return 0;
+}
 
 /// Runs a driver body, converting escaping exceptions (a checkpoint file
 /// from a different campaign, an unwritable --out path, ...) into a clean
@@ -183,67 +176,6 @@ inline std::vector<workloads::Workload> suite_or_fail(const Options& options) {
     std::exit(1);
   }
   return selected;
-}
-
-struct SuiteRun {
-  std::string name;
-  sim::RunResult baseline;
-  sim::RunResult result;
-  double slowdown() const {
-    return static_cast<double>(result.main_done_cycle) /
-           static_cast<double>(baseline.main_done_cycle);
-  }
-};
-
-/// Runs every workload under `config`, normalised against the unchecked
-/// baseline (same core, detection off). Implemented as a one-point
-/// SweepCampaign, so each kernel is assembled once through the runtime
-/// AssemblyCache (and shared with any other sweep in the process) and the
-/// suite fans out across `runner`'s worker pool; output order stays the
-/// suite's order regardless of scheduling.
-inline std::vector<SuiteRun> run_suite(const Options& options,
-                                       const SystemConfig& original,
-                                       const runtime::ParallelRunner& runner) {
-  // --frontend swaps the main core's direction predictor in both the
-  // checked run and its unchecked baseline (same core either way), so
-  // slowdowns stay an apples-to-apples ratio.
-  const SystemConfig config = options.with_frontend(original);
-  SystemConfig baseline_config = config;
-  baseline_config.detection.enabled = false;
-  baseline_config.detection.simulate_checkers = false;
-  const CheckerExec checker = options.checker_exec();
-  runtime::SweepCampaign sweep(1, suite(options), /*seed=*/0);
-  sweep.enable_baselines(baseline_config, kInstructionBudget);
-  const runtime::SweepResult swept = sweep.run(
-      runner, runtime::CampaignRunOptions{},
-      [&](std::size_t, std::size_t, const runtime::AssemblyCache::Image& image,
-          std::uint64_t) {
-        return sim::run_program(config, image, kInstructionBudget, nullptr,
-                                checker);
-      });
-  std::vector<SuiteRun> runs;
-  runs.reserve(swept.workload_count);
-  for (std::size_t b = 0; b < swept.workload_count; ++b) {
-    SuiteRun run;
-    run.name = swept.workload_names[b];
-    run.baseline = *swept.baseline(b);
-    run.result = *swept.cell(0, b);
-    runs.push_back(std::move(run));
-  }
-  return runs;
-}
-
-inline std::vector<SuiteRun> run_suite(const Options& options,
-                                       const SystemConfig& config) {
-  return run_suite(options, config, options.runner());
-}
-
-/// Geometric-free arithmetic mean of slowdowns (matches the paper's
-/// "average slowdown is 1.75%" phrasing).
-inline double mean_slowdown(const std::vector<SuiteRun>& runs) {
-  double sum = 0;
-  for (const auto& run : runs) sum += run.slowdown();
-  return runs.empty() ? 0.0 : sum / static_cast<double>(runs.size());
 }
 
 inline void print_header(const char* figure, const char* paper_reference) {

@@ -23,6 +23,8 @@
 //                 [--json=PATH]                    default BENCH_campaign_fork.json
 //                 [--min-speedup=F]                exit 3 when forked/full
 //                                                    falls below F
+//                 [--checker-threads=N] [--checker-batch=N|auto]
+//                                                  replay shape of every run
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -68,17 +70,8 @@ int run(int argc, char** argv) {
         std::fprintf(stderr, "%s: want --min-speedup=F with F >= 0\n", arg);
         return 2;
       }
-    } else if (std::strcmp(arg, "--jobs") == 0 || std::strcmp(arg, "-j") == 0) {
-      ++i;  // detached worker count, consumed by RuntimeOptions above.
-    } else if (std::strncmp(arg, "--scale=", 8) == 0 ||
-               std::strncmp(arg, "--benchmark=", 12) == 0 ||
-               std::strncmp(arg, "--jobs=", 7) == 0 ||
-               std::strncmp(arg, "--checker-threads=", 18) == 0 ||
-               std::strncmp(arg, "--frontend=", 11) == 0 ||
-               std::strncmp(arg, "-j", 2) == 0) {
-      // Parsed by bench::Options / RuntimeOptions above.
-    } else if (std::strcmp(arg, "--help") == 0) {
-      // Printed by bench::Options above (never reached: parse exits).
+    } else if (const int shared = bench::shared_flag_args(arg); shared > 0) {
+      i += shared - 1;  // parsed by bench::Options / RuntimeOptions above.
     } else {
       std::fprintf(stderr, "unknown argument '%s' (see --help)\n", arg);
       return 2;
@@ -97,6 +90,7 @@ int run(int argc, char** argv) {
   job.config = SystemConfig::standard();
   job.mode = sim::SimMode::kChecked;
   job.max_instructions = bench::kInstructionBudget;
+  job.checker = options.checker_exec();
   const sim::RunResult clean = sim::run_job(job, image);
   const std::uint64_t window_start = static_cast<std::uint64_t>(
       static_cast<double>(clean.uops) * (1.0 - kTailFraction));

@@ -234,16 +234,8 @@ int run(int argc, char** argv) {
       verify_hint = true;
     } else if (std::strcmp(arg, "--crossover") == 0) {
       crossover = true;
-    } else if (std::strcmp(arg, "--jobs") == 0 || std::strcmp(arg, "-j") == 0) {
-      ++i;  // detached worker count, consumed by RuntimeOptions above.
-    } else if (std::strncmp(arg, "--scale=", 8) == 0 ||
-               std::strncmp(arg, "--benchmark=", 12) == 0 ||
-               std::strncmp(arg, "--jobs=", 7) == 0 ||
-               std::strncmp(arg, "--checker-threads=", 18) == 0 ||
-               std::strncmp(arg, "--checker-batch=", 16) == 0 ||
-               std::strncmp(arg, "--frontend=", 11) == 0 ||
-               std::strncmp(arg, "-j", 2) == 0) {
-      // Parsed by bench::Options / RuntimeOptions above.
+    } else if (const int shared = bench::shared_flag_args(arg); shared > 0) {
+      i += shared - 1;  // parsed by bench::Options / RuntimeOptions above.
     } else {
       // A misspelled or space-form flag silently ignored here could mean
       // the CI regression gate never ran — reject loudly instead.

@@ -45,16 +45,6 @@ unsigned parse_jobs(const char* flag, const char* text) {
 
 }  // namespace
 
-const char* frontend_kind_name(FrontEndKind kind) {
-  switch (kind) {
-    case FrontEndKind::kTournament: return "tournament";
-    case FrontEndKind::kGshare: return "gshare";
-    case FrontEndKind::kBimodal: return "bimodal";
-    case FrontEndKind::kAlwaysTaken: return "always-taken";
-  }
-  return "unknown";
-}
-
 bool parse_frontend_kind(std::string_view name, FrontEndKind* out) {
   if (name == "tournament") { *out = FrontEndKind::kTournament; return true; }
   if (name == "gshare") { *out = FrontEndKind::kGshare; return true; }

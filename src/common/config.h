@@ -54,9 +54,8 @@ enum class FrontEndKind : std::uint8_t {
   kAlwaysTaken,  ///< static predict-taken (BTB/RAS still model targets).
 };
 
-/// Canonical CLI spelling of `kind` ("tournament", "gshare", ...).
-const char* frontend_kind_name(FrontEndKind kind);
-/// Parses a `--frontend=` value; returns false on an unknown name.
+/// Parses a front-end name ("tournament", "gshare", "bimodal",
+/// "always-taken"); returns false on an unknown name.
 bool parse_frontend_kind(std::string_view name, FrontEndKind* out);
 
 /// Tournament branch predictor parameters (Table I, "Tournament").

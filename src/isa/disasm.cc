@@ -5,13 +5,21 @@
 namespace paradet::isa {
 namespace {
 
+// The helpers build their text by appending: GCC 12 at -O3 raises a false
+// -Wrestrict on `"literal" + std::to_string(...)`.
 std::string reg(RegIndex r, bool fp) {
-  return (fp ? "f" : "x") + std::to_string(static_cast<unsigned>(r));
+  std::string text = fp ? "f" : "x";
+  text += std::to_string(static_cast<unsigned>(r));
+  return text;
 }
 
+/// PC-relative offset as ".+N" / ".-N". The magnitude is negated in
+/// unsigned arithmetic, where it is defined for INT64_MIN too.
 std::string rel(std::int64_t imm) {
-  if (imm >= 0) return ".+" + std::to_string(imm);
-  return ".-" + std::to_string(-imm);
+  const auto bits = static_cast<std::uint64_t>(imm);
+  std::string text = imm >= 0 ? ".+" : ".-";
+  text += std::to_string(imm >= 0 ? bits : 0 - bits);
+  return text;
 }
 
 }  // namespace

@@ -4,60 +4,13 @@
 
 namespace paradet::runtime {
 
-namespace {
-
-/// Busy-wait hint. On x86 PAUSE also de-prioritises the spinning
-/// hyperthread; elsewhere a plain compiler barrier is enough for the
-/// short spin windows used here.
-inline void spin_pause() {
-#if defined(__x86_64__) || defined(__i386__)
-  __builtin_ia32_pause();
-#else
-  std::atomic_signal_fence(std::memory_order_seq_cst);
-#endif
-}
-
-/// Bounded spin before parking: long enough to bridge the typical
-/// worker→absorber handoff latency, short enough not to burn a core when
-/// the other side is genuinely busy (or the host has one CPU).
-constexpr int kSpinIterations = 64;
-
-}  // namespace
-
-template <typename Pred>
-void CheckerPool::park_until(ParkLot& lot, Pred pred) {
-  for (int i = 0; i < kSpinIterations; ++i) {
-    if (pred()) return;
-    spin_pause();
-  }
-  std::unique_lock<std::mutex> lock(lot.mutex);
-  lot.parked.fetch_add(1, std::memory_order_seq_cst);
-  lot.cv.wait(lock, pred);
-  lot.parked.fetch_sub(1, std::memory_order_relaxed);
-}
-
-void CheckerPool::wake(ParkLot& lot) {
-  // Fast path: nobody parked, nothing to do. A waiter registering
-  // concurrently re-checks its predicate under the lot mutex after the
-  // seq_cst parked increment, and the waker's state store (also seq_cst)
-  // precedes this load — one of the two sides always observes the other.
-  if (lot.parked.load(std::memory_order_seq_cst) == 0) return;
-  std::lock_guard<std::mutex> lock(lot.mutex);
-  lot.cv.notify_all();
-}
-
-void CheckerPool::wake_all(ParkLot& lot) {
-  std::lock_guard<std::mutex> lock(lot.mutex);
-  lot.cv.notify_all();
-}
-
 CheckerPool::CheckerPool(unsigned threads, std::size_t capacity, WorkFn work,
                          AbsorbFn absorb)
     : threads_(std::max(1u, threads)),
       capacity_(std::max<std::size_t>(1, capacity)),
       work_(std::move(work)),
       absorb_(std::move(absorb)),
-      slots_(capacity_) {
+      done_(capacity_, 0) {
   workers_.reserve(threads_);
   for (unsigned w = 0; w < threads_; ++w) {
     workers_.emplace_back([this, w] { worker_loop(w); });
@@ -66,93 +19,74 @@ CheckerPool::CheckerPool(unsigned threads, std::size_t capacity, WorkFn work,
 }
 
 CheckerPool::~CheckerPool() {
-  stop_.store(true, std::memory_order_seq_cst);
-  wake_all(worker_lot_);
-  wake_all(absorber_lot_);
-  wake_all(producer_lot_);
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    stop_ = true;
+  }
+  worker_cv_.notify_all();
+  absorber_cv_.notify_all();
   for (std::thread& worker : workers_) worker.join();
   absorber_.join();
 }
 
-void CheckerPool::rethrow_if_failed() {
-  if (!failed_.load(std::memory_order_acquire)) return;
-  std::lock_guard<std::mutex> lock(error_mutex_);
+void CheckerPool::fail(std::exception_ptr error) {
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (error_ == nullptr) error_ = std::move(error);
+  }
+  worker_cv_.notify_all();
+  absorber_cv_.notify_all();
+  producer_cv_.notify_all();
+}
+
+template <typename Ready>
+void CheckerPool::wait_producer(Ready ready) {
+  std::unique_lock<std::mutex> lock(mutex_);
+  producer_cv_.wait(lock, [&] { return error_ != nullptr || ready(); });
   if (error_ != nullptr) std::rethrow_exception(error_);
 }
 
-void CheckerPool::fail(std::exception_ptr error) {
-  {
-    std::lock_guard<std::mutex> lock(error_mutex_);
-    if (error_ == nullptr) error_ = std::move(error);
-  }
-  failed_.store(true, std::memory_order_seq_cst);
-  wake_all(worker_lot_);
-  wake_all(absorber_lot_);
-  wake_all(producer_lot_);
-}
-
 void CheckerPool::wait_slot(std::uint64_t ticket) {
-  park_until(producer_lot_, [&] {
-    return failed_.load(std::memory_order_seq_cst) ||
-           absorbed_.load(std::memory_order_seq_cst) + capacity_ > ticket;
-  });
-  rethrow_if_failed();
+  wait_producer([&] { return absorbed_ + capacity_ > ticket; });
 }
 
 void CheckerPool::publish(std::uint64_t ticket) {
-  rethrow_if_failed();
-  published_.store(ticket + 1, std::memory_order_seq_cst);
-  wake(worker_lot_);
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (error_ != nullptr) std::rethrow_exception(error_);
+    published_ = ticket + 1;
+  }
+  worker_cv_.notify_one();
 }
 
 void CheckerPool::wait_absorbed(std::uint64_t ticket) {
-  park_until(producer_lot_, [&] {
-    return failed_.load(std::memory_order_seq_cst) ||
-           absorbed_.load(std::memory_order_seq_cst) > ticket;
-  });
-  rethrow_if_failed();
+  wait_producer([&] { return absorbed_ > ticket; });
 }
 
 void CheckerPool::drain() {
-  park_until(producer_lot_, [&] {
-    return failed_.load(std::memory_order_seq_cst) ||
-           absorbed_.load(std::memory_order_seq_cst) >=
-               published_.load(std::memory_order_seq_cst);
-  });
-  rethrow_if_failed();
+  wait_producer([&] { return absorbed_ >= published_; });
 }
 
 void CheckerPool::worker_loop(unsigned worker) {
   try {
     for (;;) {
       std::uint64_t ticket;
-      for (;;) {
-        if (failed_.load(std::memory_order_seq_cst)) return;
-        std::uint64_t next = claimed_.load(std::memory_order_seq_cst);
-        if (next < published_.load(std::memory_order_seq_cst)) {
-          // CAS claim: exactly one worker wins each ticket, no lock. On
-          // loss `next` reloads and the claim retries immediately.
-          if (claimed_.compare_exchange_weak(next, next + 1,
-                                             std::memory_order_seq_cst)) {
-            ticket = next;
-            break;
-          }
-          continue;
-        }
-        // Nothing claimable. Published work is still drained after stop
-        // (the destructor's contract), so stop only exits from here.
-        if (stop_.load(std::memory_order_seq_cst)) return;
-        park_until(worker_lot_, [&] {
-          return failed_.load(std::memory_order_seq_cst) ||
-                 stop_.load(std::memory_order_seq_cst) ||
-                 claimed_.load(std::memory_order_seq_cst) <
-                     published_.load(std::memory_order_seq_cst);
+      {
+        std::unique_lock<std::mutex> lock(mutex_);
+        worker_cv_.wait(lock, [&] {
+          return error_ != nullptr || stop_ || claimed_ < published_;
         });
+        // Published work is still drained after stop (the destructor's
+        // contract), so stop only exits once nothing is left to claim.
+        if (error_ != nullptr || claimed_ == published_) return;
+        ticket = claimed_++;
       }
       work_(ticket, worker);
-      slots_[ticket % capacity_].done.store(ticket + 1,
-                                            std::memory_order_seq_cst);
-      wake(absorber_lot_);
+      {
+        std::lock_guard<std::mutex> lock(mutex_);
+        done_[ticket % capacity_] = ticket + 1;
+      }
+      absorber_cv_.notify_one();
     }
   } catch (...) {
     fail(std::current_exception());
@@ -161,23 +95,24 @@ void CheckerPool::worker_loop(unsigned worker) {
 
 void CheckerPool::absorber_loop() {
   try {
-    for (;;) {
-      const std::uint64_t ticket = absorbed_.load(std::memory_order_seq_cst);
-      std::atomic<std::uint64_t>& done = slots_[ticket % capacity_].done;
-      park_until(absorber_lot_, [&] {
-        return failed_.load(std::memory_order_seq_cst) ||
-               done.load(std::memory_order_seq_cst) == ticket + 1 ||
-               (stop_.load(std::memory_order_seq_cst) &&
-                published_.load(std::memory_order_seq_cst) <= ticket);
-      });
-      if (failed_.load(std::memory_order_seq_cst)) return;
-      if (done.load(std::memory_order_seq_cst) != ticket + 1) {
-        return;  // stop, and every published ticket is absorbed: drained.
+    for (std::uint64_t ticket = 0;; ++ticket) {
+      std::uint64_t& done = done_[ticket % capacity_];
+      {
+        std::unique_lock<std::mutex> lock(mutex_);
+        absorber_cv_.wait(lock, [&] {
+          return error_ != nullptr || done == ticket + 1 ||
+                 (stop_ && published_ <= ticket);
+        });
+        // Failed, or stopped with every published ticket absorbed.
+        if (error_ != nullptr || done != ticket + 1) return;
       }
       absorb_(ticket);
-      done.store(0, std::memory_order_seq_cst);
-      absorbed_.store(ticket + 1, std::memory_order_seq_cst);
-      wake(producer_lot_);
+      {
+        std::lock_guard<std::mutex> lock(mutex_);
+        done = 0;
+        absorbed_ = ticket + 1;
+      }
+      producer_cv_.notify_all();
     }
   } catch (...) {
     fail(std::current_exception());

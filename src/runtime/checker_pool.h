@@ -6,9 +6,9 @@
 // over shared icache state, detection bookkeeping). CheckerPool runs the
 // two halves on a worker pool plus one absorber thread:
 //
-//   producer ──publish(t)──▶ [workers: claim tickets via atomic CAS,
+//   producer ──publish(t)──▶ [workers: claim tickets in order,
 //                             run work(t, worker) in any order]
-//                                   │ per-ticket done word
+//                                   │ per-slot done word
 //                                   ▼
 //                            [absorber: absorb(0), absorb(1), … strictly
 //                             in ticket order]
@@ -17,25 +17,18 @@
 // published-but-not-absorbed tickets, giving backpressure: wait_slot()
 // blocks the producer until slot `ticket % capacity` is free again.
 //
-// The handoff protocol is deliberately lock-light: every pipeline counter
-// (published/claimed/absorbed) is an atomic, each slot's completion word
-// lives on its own cache line, and threads waiting for progress spin a
-// bounded number of iterations before parking on a condition variable.
-// Wakers only take the condvar mutex when a waiter has actually parked
-// (a Dekker-style parked counter with seq_cst stores on the watched
-// state), so the steady-state cost of publishing or absorbing a ticket is
-// a handful of uncontended atomic operations — not a mutex/notify round
-// trip per segment, which dominated the handoff at fine replay
-// granularities. Fine granularity is further amortised one level up:
-// sim::SegmentPipeline coalesces several sealed segments into one ticket
-// (see CheckerExec::batch).
+// All pipeline state sits behind one mutex, and each role (workers,
+// absorber, producer) waits on its own condition variable. The work and
+// absorb callbacks run outside the lock. A ticket costs a few uncontended
+// lock round trips, which is small next to the replay it carries:
+// sim::SegmentPipeline coalesces sealed segments into tickets of
+// thousands of instructions (see CheckerExec::batch).
 //
 // Exceptions from work/absorb are captured once and rethrown from the
-// producer-side calls (publish/wait_slot/drain); the pool then refuses
-// further tickets.
+// producer-side calls (publish/wait_slot/wait_absorbed/drain); the pool
+// then refuses further tickets.
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <exception>
@@ -91,55 +84,32 @@ class CheckerPool {
   static unsigned bounded(unsigned requested, unsigned host_jobs);
 
  private:
-  /// One ticket's completion word, alone on its cache line so a worker
-  /// finishing slot k never invalidates the line the absorber is polling
-  /// for slot k+1. Holds ticket+1 when the work half is done (0 = empty);
-  /// storing the ticket rather than a flag makes slot reuse across ring
-  /// laps self-checking.
-  struct alignas(64) Slot {
-    std::atomic<std::uint64_t> done{0};
-  };
-
-  /// A park site: waiters spin on their predicate first, then register in
-  /// `parked` (under the mutex) and block on the condvar. Wakers skip the
-  /// mutex entirely while `parked` reads 0 — the common case when the
-  /// pipeline is flowing — turning per-ticket notification into one
-  /// relaxed load. The watched counters use seq_cst stores, so the
-  /// store-then-check-parked / register-then-check-state pair can never
-  /// both miss (Dekker).
-  struct ParkLot {
-    std::mutex mutex;
-    std::condition_variable cv;
-    std::atomic<int> parked{0};
-  };
-
-  template <typename Pred>
-  void park_until(ParkLot& lot, Pred pred);
-  static void wake(ParkLot& lot);
-  static void wake_all(ParkLot& lot);
+  /// Blocks the producer until `ready()` holds or a failure is captured,
+  /// then rethrows the failure if there is one.
+  template <typename Ready>
+  void wait_producer(Ready ready);
 
   void worker_loop(unsigned worker);
   void absorber_loop();
   void fail(std::exception_ptr error);
-  void rethrow_if_failed();
 
   const unsigned threads_;
   const std::size_t capacity_;
   WorkFn work_;
   AbsorbFn absorb_;
 
-  std::atomic<std::uint64_t> published_{0};  // tickets visible to workers
-  std::atomic<std::uint64_t> claimed_{0};    // next ticket a worker takes
-  std::atomic<std::uint64_t> absorbed_{0};   // tickets absorbed, in order
-  std::atomic<bool> stop_{false};
-  std::atomic<bool> failed_{false};
-  std::vector<Slot> slots_;
-
-  ParkLot worker_lot_;    // workers wait for published_ > claimed_
-  ParkLot absorber_lot_;  // absorber waits for the next slot's done word
-  ParkLot producer_lot_;  // producer waits for absorbed_ progress
-
-  std::mutex error_mutex_;
+  std::mutex mutex_;  // guards every member below up to the threads
+  std::condition_variable worker_cv_;    // claimed_ < published_
+  std::condition_variable absorber_cv_;  // the next slot's done word
+  std::condition_variable producer_cv_;  // absorbed_ progress
+  std::uint64_t published_ = 0;  // tickets visible to workers
+  std::uint64_t claimed_ = 0;    // next ticket a worker takes
+  std::uint64_t absorbed_ = 0;   // tickets absorbed, in order
+  /// Per slot: ticket+1 once its work half is done, 0 while empty. Storing
+  /// the ticket rather than a flag makes slot reuse across ring laps
+  /// self-checking.
+  std::vector<std::uint64_t> done_;
+  bool stop_ = false;
   std::exception_ptr error_;
 
   std::vector<std::thread> workers_;

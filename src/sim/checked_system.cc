@@ -623,9 +623,10 @@ namespace {
 /// drivers load the same AssemblyCache image thousands of times (once per
 /// trial); the crack/classification tables are a pure function of the
 /// image, so they are computed once and shared. Entries hold a weak
-/// reference to the image for aliveness: if an image dies and a new one is
-/// later allocated at the same address, the expired entry is replaced
-/// rather than served stale.
+/// reference to the image for aliveness: an entry whose image has died is
+/// never served (a new image may be allocated at the same address), and
+/// every such entry is evicted on the next insert, so the statics of dead
+/// images do not accumulate.
 std::shared_ptr<const ProgramStatics> statics_for(const AssembledImage& image) {
   struct CacheShard {
     std::mutex mutex;
@@ -649,6 +650,8 @@ std::shared_ptr<const ProgramStatics> statics_for(const AssembledImage& image) {
   // both results are identical and the last insert wins.
   auto statics = std::make_shared<const ProgramStatics>(image->predecoded);
   std::lock_guard<std::mutex> lock(cache->mutex);
+  std::erase_if(cache->map,
+                [](const auto& entry) { return entry.second.alive.expired(); });
   cache->map[image.get()] = {image, statics};
   return statics;
 }

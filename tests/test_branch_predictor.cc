@@ -318,8 +318,8 @@ TEST(FrontEnd, TournamentVariantMatchesLegacyPredictorRandomized) {
 
 TEST(FrontEnd, DefaultConfigRunResultSerializesIdentically) {
   // End-to-end byte-identity: a checked run with the FrontEnd selected
-  // through the CLI name ("tournament", as --frontend= does) serializes
-  // to exactly the bytes of a default-config run.
+  // by its name ("tournament") serializes to exactly the bytes of a
+  // default-config run.
   const auto workload =
       workloads::standard_suite(workloads::Scale{0.02}).front();
   const auto image = runtime::AssemblyCache::instance().get(workload);

@@ -314,6 +314,56 @@ TEST(CheckerPool, WorkerExceptionsSurfaceOnTheProducer) {
       std::runtime_error);
 }
 
+TEST(CheckerPool, AbsorbExceptionsSurfaceOnTheProducer) {
+  runtime::CheckerPool pool(
+      /*threads=*/2, /*capacity=*/8, [](std::uint64_t, unsigned) {},
+      [](std::uint64_t ticket) {
+        if (ticket == 1) throw std::runtime_error("absorb exploded");
+      });
+  std::string message;
+  try {
+    // The absorber may fail before the last publish, so the failure can
+    // surface from any producer call, not only drain().
+    for (std::uint64_t t = 0; t < 4; ++t) {
+      pool.wait_slot(t);
+      pool.publish(t);
+    }
+    pool.drain();
+  } catch (const std::runtime_error& error) {
+    message = error.what();
+  }
+  EXPECT_EQ(message, "absorb exploded");
+  // The failure is sticky: the pool refuses further tickets.
+  EXPECT_THROW(pool.wait_slot(4), std::runtime_error);
+  EXPECT_THROW(pool.publish(4), std::runtime_error);
+  EXPECT_THROW(pool.drain(), std::runtime_error);
+}
+
+TEST(CheckerPool, DestructorAbsorbsUndrainedTicketsInOrder) {
+  constexpr std::uint64_t kTickets = 8;
+  std::vector<std::uint64_t> absorbed_order;
+  {
+    runtime::CheckerPool pool(
+        /*threads=*/2, /*capacity=*/kTickets,
+        [](std::uint64_t ticket, unsigned) {
+          // Early tickets finish last, and all are still in flight when
+          // the pool is destroyed.
+          std::this_thread::sleep_for(
+              std::chrono::microseconds(500 * (kTickets - ticket)));
+        },
+        [&](std::uint64_t ticket) { absorbed_order.push_back(ticket); });
+    for (std::uint64_t t = 0; t < kTickets; ++t) {
+      pool.wait_slot(t);
+      pool.publish(t);
+    }
+    // No drain(): the destructor owes every published ticket its absorb.
+  }
+  ASSERT_EQ(absorbed_order.size(), kTickets);
+  for (std::uint64_t t = 0; t < kTickets; ++t) {
+    EXPECT_EQ(absorbed_order[t], t);
+  }
+}
+
 TEST(CheckerPool, BoundedPolicy) {
   unsigned hw = std::thread::hardware_concurrency();
   if (hw == 0) hw = 1;

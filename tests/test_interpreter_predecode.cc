@@ -6,6 +6,7 @@
 // ProgramStatics table.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -282,6 +283,28 @@ TEST(ProgramStatics, MatchesOnTheFlyCracking) {
   // Out-of-image PCs miss.
   EXPECT_EQ(statics.lookup(image.base - 4), nullptr);
   EXPECT_EQ(statics.lookup(image.base + 2), nullptr);
+}
+
+TEST(ProgramStatics, SharedCacheReleasesDeadImages) {
+  auto image =
+      std::make_shared<const isa::Assembled>(isa::assemble(random_program(5)));
+  ASSERT_TRUE(image->ok);
+  // Allocated while `image` lives, so it cannot take over its address.
+  const auto fresh =
+      std::make_shared<const isa::Assembled>(isa::assemble(random_program(6)));
+  ASSERT_TRUE(fresh->ok);
+
+  std::weak_ptr<const sim::ProgramStatics> statics;
+  {
+    const sim::LoadedProgram program = sim::load_program(image);
+    // Reloading a live image shares its statics rather than rebuilding.
+    EXPECT_EQ(sim::load_program(image).statics, program.statics);
+    statics = program.statics;
+  }
+  image.reset();
+  // The next load evicts what the dead image left in the cache.
+  const sim::LoadedProgram next = sim::load_program(fresh);
+  EXPECT_TRUE(statics.expired());
 }
 
 }  // namespace

@@ -2,6 +2,9 @@
 // micro-op cracking and register-usage metadata.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+
 #include "isa/crack.h"
 #include "isa/disasm.h"
 #include "isa/encoding.h"
@@ -113,6 +116,20 @@ TEST_P(AllOpcodes, DisassemblyMentionsMnemonic) {
   inst.op = GetParam();
   const std::string text = disassemble(inst);
   EXPECT_EQ(text.find(std::string(mnemonic(inst.op))), 0u) << text;
+}
+
+TEST(Disassembly, BranchOffsetsPrintSignedMagnitudes) {
+  Inst inst;
+  inst.op = Opcode::kBeq;
+  inst.rs1 = 1;
+  inst.rs2 = 2;
+  inst.imm = 8;
+  EXPECT_EQ(disassemble(inst), "beq x1, x2, .+8");
+  inst.imm = -8;
+  EXPECT_EQ(disassemble(inst), "beq x1, x2, .-8");
+  // The most negative offset has no positive int64_t counterpart.
+  inst.imm = std::numeric_limits<std::int64_t>::min();
+  EXPECT_EQ(disassemble(inst), "beq x1, x2, .-9223372036854775808");
 }
 
 TEST(Encoding, ImmediateLimits) {

@@ -10,7 +10,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <exception>
-#include <initializer_list>
 #include <string>
 #include <vector>
 
@@ -109,22 +108,6 @@ struct Options {
     return runtime::ShardSpec{runtime.shard_index, runtime.shard_count};
   }
 };
-
-/// How many argv entries, starting at `arg`, make up a flag that
-/// Options::parse (through RuntimeOptions) has already consumed: 2 for the
-/// space form `--jobs N` / `-j N`, 1 for any other shared flag, 0 for
-/// anything else. Drivers that scan argv for their own flags skip these and
-/// reject whatever is left, so a misspelled flag cannot pass unnoticed.
-inline int shared_flag_args(const char* arg) {
-  if (std::strcmp(arg, "--jobs") == 0 || std::strcmp(arg, "-j") == 0) {
-    return 2;
-  }
-  for (const char* prefix : {"--scale=", "--benchmark=", "--jobs=",
-                             "--checker-threads=", "--checker-batch=", "-j"}) {
-    if (std::strncmp(arg, prefix, std::strlen(prefix)) == 0) return 1;
-  }
-  return 0;
-}
 
 /// Runs a driver body, converting escaping exceptions (a checkpoint file
 /// from a different campaign, an unwritable --out path, ...) into a clean

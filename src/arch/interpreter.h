@@ -116,8 +116,8 @@ class DecodeCache {
   /// Instructions served straight from the predecoded image.
   std::uint64_t predecoded_hits() const { return predecoded_hits_; }
   /// Instructions that took the per-pc fallback path (including repeats
-  /// served from the map). perf_hotloop --verify-predecode alarms when
-  /// this is more than a sliver of the total.
+  /// served from the map). The suite kernels never take it:
+  /// PredecodedImage.WorkloadsPredecodeTheirWholeHotLoop pins zero.
   std::uint64_t fallback_decodes() const { return fallback_decodes_; }
 
  private:

@@ -45,17 +45,6 @@ unsigned parse_jobs(const char* flag, const char* text) {
 
 }  // namespace
 
-bool parse_frontend_kind(std::string_view name, FrontEndKind* out) {
-  if (name == "tournament") { *out = FrontEndKind::kTournament; return true; }
-  if (name == "gshare") { *out = FrontEndKind::kGshare; return true; }
-  if (name == "bimodal") { *out = FrontEndKind::kBimodal; return true; }
-  if (name == "always-taken" || name == "always_taken") {
-    *out = FrontEndKind::kAlwaysTaken;
-    return true;
-  }
-  return false;
-}
-
 bool BranchPredictorConfig::valid_table_sizes() const {
   const auto pow2 = [](unsigned n) { return n != 0 && (n & (n - 1)) == 0; };
   return pow2(local_entries) && pow2(global_entries) &&

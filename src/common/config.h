@@ -6,7 +6,6 @@
 
 #include <cstdint>
 #include <string>
-#include <string_view>
 
 #include "common/types.h"
 
@@ -53,10 +52,6 @@ enum class FrontEndKind : std::uint8_t {
   kBimodal,      ///< one PHT indexed by pc alone.
   kAlwaysTaken,  ///< static predict-taken (BTB/RAS still model targets).
 };
-
-/// Parses a front-end name ("tournament", "gshare", "bimodal",
-/// "always-taken"); returns false on an unknown name.
-bool parse_frontend_kind(std::string_view name, FrontEndKind* out);
 
 /// Tournament branch predictor parameters (Table I, "Tournament").
 /// Every table size must be a power of two: the hot predict/update path

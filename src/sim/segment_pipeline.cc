@@ -185,7 +185,6 @@ void SegmentPipeline::produce(const core::Segment& segment, Cycle seal_cycle,
   job.hook = std::move(hook);
   ++slot.count;
   batch_insts_ += segment.instruction_count;
-  ++batched_segments_;
   last_ticket_for_index_[index] = static_cast<std::int64_t>(next_ticket_);
   if (batch_full(slot)) flush_batch();
 }

@@ -146,17 +146,6 @@ class SegmentPipeline {
   }
   unsigned threads() const { return checker_.threads; }
 
-  // --- Host-side observability (never serialized into RunResult: ticket
-  // counts vary with batch size and artifact bytes must not) --------------
-  /// Pool tickets published by this pipeline instance so far.
-  std::uint64_t tickets_published() const { return next_ticket_; }
-  /// Segments handed over per ticket, averaged (0 before any ticket).
-  double segments_per_ticket() const {
-    return next_ticket_ == 0 ? 0.0
-                             : static_cast<double>(batched_segments_) /
-                                   static_cast<double>(next_ticket_);
-  }
-
   /// Segments produced so far (the ordinal the next produce() expects).
   std::uint64_t produced() const { return produced_; }
   /// The immutable CoW-frozen fetch snapshot; warm-state capture forks it.
@@ -246,8 +235,6 @@ class SegmentPipeline {
   bool batch_open_ = false;
   /// Instructions staged in the open batch (auto sizing signal).
   std::uint64_t batch_insts_ = 0;
-  /// Total segments handed to the pool (observability only).
-  std::uint64_t batched_segments_ = 0;
   /// Ordinal of the segment most recently produced into each physical
   /// index (-1: none yet); exported to warm state.
   std::vector<std::int64_t> last_ordinal_for_index_;

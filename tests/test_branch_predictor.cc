@@ -317,18 +317,18 @@ TEST(FrontEnd, TournamentVariantMatchesLegacyPredictorRandomized) {
 }
 
 TEST(FrontEnd, DefaultConfigRunResultSerializesIdentically) {
-  // End-to-end byte-identity: a checked run with the FrontEnd selected
-  // by its name ("tournament") serializes to exactly the bytes of a
+  // End-to-end byte-identity: a checked run with the tournament FrontEnd
+  // selected explicitly serializes to exactly the bytes of a
   // default-config run.
   const auto workload =
       workloads::standard_suite(workloads::Scale{0.02}).front();
   const auto image = runtime::AssemblyCache::instance().get(workload);
   const RunResult defaulted =
       run_program(SystemConfig::standard(), image, 200'000);
-  SystemConfig named = SystemConfig::standard();
-  ASSERT_TRUE(parse_frontend_kind("tournament", &named.branch_predictor.kind));
-  const RunResult via_name = run_program(named, image, 200'000);
-  EXPECT_EQ(runtime::to_json(defaulted), runtime::to_json(via_name));
+  SystemConfig selected = SystemConfig::standard();
+  selected.branch_predictor.kind = FrontEndKind::kTournament;
+  const RunResult explicit_run = run_program(selected, image, 200'000);
+  EXPECT_EQ(runtime::to_json(defaulted), runtime::to_json(explicit_run));
   EXPECT_GT(defaulted.instructions, 0u);
 }
 

@@ -5,6 +5,10 @@
 #include "mem/cache.h"
 #include "mem/dram.h"
 #include "mem/prefetcher.h"
+#include "runtime/assembly_cache.h"
+#include "sim/checked_system.h"
+#include "sim/warm_state.h"
+#include "workloads/workloads.h"
 
 namespace paradet::mem {
 namespace {
@@ -187,6 +191,36 @@ TEST(Cache, PrefetchDoesNotEvictOnPresence) {
   const auto fills_before = cache.prefetch_fills();
   cache.prefetch_line(0x1000, 50);  // already present: no-op.
   EXPECT_EQ(cache.prefetch_fills(), fills_before);
+}
+
+TEST(Cache, MruWayHintServesMostSuiteHits) {
+  // The SoA lookup's per-set MRU-way hint must serve the common hit; a
+  // low rate means the hot path quietly regressed to the associative scan
+  // while every counter stays bit-exact. The hint counters stay out of
+  // serialized results, so each kernel's checked run is captured as a
+  // warm state at half its micro-ops and the live L1 caches are read.
+  // The floor is on the suite aggregate: single kernels (stream's
+  // interleaved arrays share sets) legitimately defeat MRU prediction.
+  std::uint64_t hits = 0;
+  std::uint64_t hint_hits = 0;
+  for (const auto& workload :
+       workloads::standard_suite(workloads::Scale{0.02})) {
+    const auto image = runtime::AssemblyCache::instance().get(workload);
+    sim::SimJob job;
+    job.config = SystemConfig::standard();
+    job.mode = sim::SimMode::kChecked;
+    job.max_instructions = 4'000'000;
+    const sim::RunResult result = sim::run_job(job, image);
+    ASSERT_GE(result.uops, 2u) << workload.name;
+    const auto warm = sim::capture_warm_state(job, image, result.uops / 2);
+    ASSERT_NE(warm, nullptr) << workload.name;
+    hits += warm->machine.l1i.hits() + warm->machine.l1d.hits();
+    hint_hits +=
+        warm->machine.l1i.way_hint_hits() + warm->machine.l1d.way_hint_hits();
+  }
+  ASSERT_GT(hits, 0u);
+  EXPECT_GE(static_cast<double>(hint_hits) / static_cast<double>(hits), 0.80)
+      << hint_hits << " of " << hits << " L1 hits via the MRU-way hint";
 }
 
 }  // namespace
